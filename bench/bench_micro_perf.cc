@@ -276,7 +276,6 @@ void BM_TopologyThroughput(benchmark::State& state) {
     p.compute_mf = parallelism;
     p.mf_storage = parallelism;
     p.user_history = parallelism;
-    p.get_item_pairs = parallelism;
     p.item_pair_sim = parallelism;
     p.result_storage = parallelism;
     auto spec = BuildRecommendationTopology(source, deps, p);

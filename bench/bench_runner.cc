@@ -325,8 +325,8 @@ bool RunIngest(Json& json, bool smoke, const IngestConfig& config) {
       "traces_sampled",
       static_cast<std::int64_t>(metrics.GetCounter("trace.sampled")->value()));
   json.OpenObject("stages");
-  const char* stages[] = {"compute_mf",     "mf_storage",   "user_history",
-                          "get_item_pairs", "item_pair_sim", "result_storage"};
+  const char* stages[] = {"compute_mf", "mf_storage", "user_history",
+                          "item_pair_sim", "result_storage"};
   for (const char* stage : stages) {
     json.OpenObject(stage);
     Percentiles(json, "process",

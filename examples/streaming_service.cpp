@@ -1,6 +1,6 @@
 // Full streaming deployment (Fig. 2): runs the paper's Storm topology on
 // the bundled stream engine — spout → {ComputeMF → MFStorage},
-// {UserHistory}, {GetItemPairs → ItemPairSim → ResultStorage} — while a
+// {UserHistory + GetItemPairs → ItemPairSim → ResultStorage} — while a
 // serving thread answers recommendation requests against the same KV
 // stores the bolts are writing.
 //
@@ -48,7 +48,6 @@ int main() {
   parallelism.compute_mf = 4;
   parallelism.mf_storage = 4;
   parallelism.user_history = 2;
-  parallelism.get_item_pairs = 2;
   parallelism.item_pair_sim = 4;
   parallelism.result_storage = 2;
 

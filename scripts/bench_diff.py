@@ -43,8 +43,8 @@ QUEUE_WAIT_FLOOR_US = 50.0
 
 # The Fig. 2 stages whose queue_wait percentiles the ingest phase
 # reports.
-STAGES = ("compute_mf", "mf_storage", "user_history", "get_item_pairs",
-          "item_pair_sim", "result_storage")
+STAGES = ("compute_mf", "mf_storage", "user_history", "item_pair_sim",
+          "result_storage")
 
 
 def diff_ingest(baseline, fresh, threshold, paths):

@@ -70,18 +70,13 @@ FaultInjector& FaultInjector::Instance() {
 }
 
 void FaultInjector::Arm(const std::string& point, FaultSpec spec) {
+  // A re-arm installs a fresh state rather than mutating the old one,
+  // which Hits in flight may still be reading.
+  auto state = std::make_shared<PointState>();
+  state->spec = std::move(spec);
   std::unique_lock lock(mu_);
-  auto it = points_.find(point);
-  if (it == points_.end()) {
-    auto state = std::make_unique<PointState>();
-    state->spec = std::move(spec);
-    points_.emplace(point, std::move(state));
+  if (points_.insert_or_assign(point, std::move(state)).second) {
     armed_points_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    it->second->spec = std::move(spec);
-    it->second->hits.store(0, std::memory_order_relaxed);
-    it->second->injected.store(0, std::memory_order_relaxed);
-    it->second->spent.store(false, std::memory_order_relaxed);
   }
 }
 
@@ -104,16 +99,15 @@ void FaultInjector::SetMetrics(MetricsRegistry* metrics) {
 }
 
 Status FaultInjector::Hit(std::string_view point) {
-  PointState* state = nullptr;
+  // The copied reference keeps the state alive if the point is disarmed
+  // or re-armed while this Hit is still using it.
+  std::shared_ptr<PointState> state;
   {
     std::shared_lock lock(mu_);
     auto it = points_.find(point);
     if (it == points_.end()) return Status::OK();
-    state = it->second.get();
+    state = it->second;
   }
-  // The state pointer stays valid only while the point is armed; tests
-  // must not Disarm concurrently with in-flight Hits on the same point
-  // and expect the spec change to be atomic — see the header contract.
   std::uint64_t hit =
       state->hits.fetch_add(1, std::memory_order_relaxed) + 1;
   const FaultSpec& spec = state->spec;

@@ -121,8 +121,9 @@ class FaultInjector {
   static std::atomic<int> armed_points_;
 
   mutable std::shared_mutex mu_;
-  // Heap-allocated states so Hit can hold them across the shared lock.
-  std::map<std::string, std::unique_ptr<PointState>, std::less<>> points_;
+  // Shared so a Hit holds its point's state past the shared lock, through
+  // a concurrent Disarm or re-Arm; Arm never mutates a published state.
+  std::map<std::string, std::shared_ptr<PointState>, std::less<>> points_;
   std::atomic<MetricsRegistry*> metrics_{nullptr};
 };
 

@@ -193,7 +193,7 @@ std::string Histogram::ToString() const {
 }
 
 ScopedLatencyTimer::ScopedLatencyTimer(Histogram* hist)
-    : hist_(hist), start_micros_(NowMicros()) {}
+    : hist_(hist), start_micros_(hist == nullptr ? 0 : NowMicros()) {}
 
 ScopedLatencyTimer::~ScopedLatencyTimer() {
   if (hist_ != nullptr) hist_->Add(NowMicros() - start_micros_);

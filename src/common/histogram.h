@@ -85,7 +85,7 @@ class Histogram {
 };
 
 /// RAII latency probe: records elapsed microseconds into a histogram when
-/// destroyed.
+/// destroyed. A null histogram makes it free: no clock is read.
 class ScopedLatencyTimer {
  public:
   explicit ScopedLatencyTimer(Histogram* hist);

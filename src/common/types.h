@@ -43,6 +43,13 @@ struct VideoPair {
   friend bool operator==(const VideoPair&, const VideoPair&) = default;
 };
 
+/// The pair packed into one int64 (the topology's "pair_key" field):
+/// exact for ids below 2^32. Larger ids may collide, which only sends two
+/// pairs to the same task.
+inline std::int64_t PairKey(const VideoPair& p) {
+  return static_cast<std::int64_t>((p.first << 32) ^ p.second);
+}
+
 /// 64-bit mix used for hashing ids and pairs (SplitMix64 finalizer).
 inline std::uint64_t MixHash64(std::uint64_t x) {
   x += 0x9E3779B97F4A7C15ull;

@@ -13,65 +13,55 @@ namespace rtrec {
 
 namespace pipeline_schema {
 
-namespace {
-std::shared_ptr<const stream::Schema> MakeSchema(
-    std::initializer_list<const char*> names) {
-  return std::make_shared<const stream::Schema>(names);
-}
-}  // namespace
-
-const std::shared_ptr<const stream::Schema>& Action() {
-  static const auto& schema = *new std::shared_ptr<const stream::Schema>(
-      MakeSchema({"user", "video", "action", "value", "time"}));
+const stream::Schema& Action() {
+  static const auto& schema =
+      *new stream::Schema{"user", "video", "action", "value", "time"};
   return schema;
 }
 
-const std::shared_ptr<const stream::Schema>& UserVec() {
-  static const auto& schema = *new std::shared_ptr<const stream::Schema>(
-      MakeSchema({"user", "vec", "bias"}));
+const stream::Schema& UserVec() {
+  static const auto& schema = *new stream::Schema{"user", "vec", "bias"};
   return schema;
 }
 
-const std::shared_ptr<const stream::Schema>& VideoVec() {
-  static const auto& schema = *new std::shared_ptr<const stream::Schema>(
-      MakeSchema({"video", "vec", "bias"}));
+const stream::Schema& VideoVec() {
+  static const auto& schema = *new stream::Schema{"video", "vec", "bias"};
   return schema;
 }
 
-const std::shared_ptr<const stream::Schema>& Pair() {
-  static const auto& schema = *new std::shared_ptr<const stream::Schema>(
-      MakeSchema({"pair_key", "video1", "video2", "time"}));
+const stream::Schema& Pair() {
+  static const auto& schema =
+      *new stream::Schema{"pair_key", "video1", "video2", "time"};
   return schema;
 }
 
-const std::shared_ptr<const stream::Schema>& PairSim() {
-  static const auto& schema = *new std::shared_ptr<const stream::Schema>(
-      MakeSchema({"video1", "video2", "sim", "time"}));
+const stream::Schema& PairSim() {
+  static const auto& schema =
+      *new stream::Schema{"video1", "video2", "sim", "time"};
   return schema;
 }
 
 }  // namespace pipeline_schema
 
 stream::Tuple ActionToTuple(const UserAction& action) {
-  return stream::Tuple(
-      pipeline_schema::Action(),
-      {static_cast<std::int64_t>(action.user),
-       static_cast<std::int64_t>(action.video),
-       static_cast<std::int64_t>(action.type), action.view_fraction,
-       action.time});
+  return stream::Tuple(pipeline_schema::Action(),
+                       static_cast<std::int64_t>(action.user),
+                       static_cast<std::int64_t>(action.video),
+                       static_cast<std::int64_t>(action.type),
+                       action.view_fraction, action.time);
 }
 
-StatusOr<UserAction> TupleToAction(const stream::Tuple& tuple) {
-  StatusOr<std::int64_t> user = tuple.GetInt("user");
-  if (!user.ok()) return user.status();
-  StatusOr<std::int64_t> video = tuple.GetInt("video");
-  if (!video.ok()) return video.status();
-  StatusOr<std::int64_t> action = tuple.GetInt("action");
-  if (!action.ok()) return action.status();
-  StatusOr<double> value = tuple.GetDouble("value");
-  if (!value.ok()) return value.status();
-  StatusOr<std::int64_t> time = tuple.GetInt("time");
-  if (!time.ok()) return time.status();
+StatusOr<UserAction> ActionFieldsAt(const stream::Tuple& tuple,
+                                    std::size_t first) {
+  const auto* user = tuple.GetIf<std::int64_t>(first);
+  const auto* video = tuple.GetIf<std::int64_t>(first + 1);
+  const auto* action = tuple.GetIf<std::int64_t>(first + 2);
+  const auto* value = tuple.GetIf<double>(first + 3);
+  const auto* time = tuple.GetIf<std::int64_t>(first + 4);
+  if (user == nullptr || video == nullptr || action == nullptr ||
+      value == nullptr || time == nullptr) {
+    return Status::InvalidArgument("mistyped action field");
+  }
   if (*action < 0 || *action >= kNumActionTypes) {
     return Status::InvalidArgument("action code out of range");
   }
@@ -82,6 +72,13 @@ StatusOr<UserAction> TupleToAction(const stream::Tuple& tuple) {
   out.view_fraction = *value;
   out.time = *time;
   return out;
+}
+
+StatusOr<UserAction> TupleToAction(const stream::Tuple& tuple) {
+  if (tuple.schema() != &pipeline_schema::Action()) {
+    return Status::InvalidArgument("not an action tuple");
+  }
+  return ActionFieldsAt(tuple, 0);
 }
 
 namespace {
@@ -135,14 +132,13 @@ class ComputeMfBolt : public stream::Bolt {
     collector.EmitTo(
         "user_vec",
         stream::Tuple(pipeline_schema::UserVec(),
-                      {static_cast<std::int64_t>(action->user),
-                       std::move(user.vec), static_cast<double>(user.bias)}));
+                      static_cast<std::int64_t>(action->user),
+                      std::move(user.vec), static_cast<double>(user.bias)));
     collector.EmitTo(
         "video_vec",
         stream::Tuple(pipeline_schema::VideoVec(),
-                      {static_cast<std::int64_t>(action->video),
-                       std::move(video.vec),
-                       static_cast<double>(video.bias)}));
+                      static_cast<std::int64_t>(action->video),
+                      std::move(video.vec), static_cast<double>(video.bias)));
   }
 
  private:
@@ -152,7 +148,8 @@ class ComputeMfBolt : public stream::Bolt {
 
 /// MFStorage bolt: writes new vectors to the KV store. Fields grouping by
 /// key guarantees a single writer per user/video, so writes are atomic
-/// without locking coordination across tasks (Section 5.1).
+/// without locking coordination across tasks (Section 5.1). The shipped
+/// vector is written straight into the stored entry.
 class MfStorageBolt : public stream::Bolt {
  public:
   explicit MfStorageBolt(FactorStore* factors) : factors_(factors) {}
@@ -160,17 +157,18 @@ class MfStorageBolt : public stream::Bolt {
   void Process(const stream::Tuple& tuple,
                stream::OutputCollector& collector) override {
     (void)collector;
-    StatusOr<std::vector<float>> vec = tuple.GetFloats("vec");
-    StatusOr<double> bias = tuple.GetDouble("bias");
-    if (!vec.ok() || !bias.ok()) return;
-    FactorEntry entry;
-    entry.vec = std::move(vec).value();
-    entry.bias = static_cast<float>(*bias);
-    if (StatusOr<std::int64_t> user = tuple.GetInt("user"); user.ok()) {
-      factors_->PutUser(static_cast<UserId>(*user), std::move(entry));
-    } else if (StatusOr<std::int64_t> video = tuple.GetInt("video");
-               video.ok()) {
-      factors_->PutVideo(static_cast<VideoId>(*video), std::move(entry));
+    const bool is_user = tuple.schema() == &pipeline_schema::UserVec();
+    if (!is_user && tuple.schema() != &pipeline_schema::VideoVec()) return;
+    const auto* id = tuple.GetIf<std::int64_t>(0);
+    const auto* vec = tuple.GetIf<std::vector<float>>(1);
+    const auto* bias = tuple.GetIf<double>(2);
+    if (id == nullptr || vec == nullptr || bias == nullptr) return;
+    if (is_user) {
+      factors_->PutUser(static_cast<UserId>(*id), *vec,
+                        static_cast<float>(*bias));
+    } else {
+      factors_->PutVideo(static_cast<VideoId>(*id), *vec,
+                         static_cast<float>(*bias));
     }
   }
 
@@ -178,36 +176,18 @@ class MfStorageBolt : public stream::Bolt {
   FactorStore* factors_;
 };
 
-/// UserHistory bolt: records behaviour histories, fields-grouped by user.
+/// UserHistory bolt, which also does Fig. 2's GetItemPairs: records
+/// behaviour histories, fields-grouped by user, and joins a confident
+/// action with the user's recent history, emitting one tuple per
+/// (video1, video2) pair keyed by the normalized pair key so equal pairs
+/// co-locate downstream (enabling the combiner/cache optimizations of
+/// Section 5.1). As in SimTableUpdater::OnAction, the partners are read
+/// before the append, so an action pairs with exactly the user's earlier
+/// actions, never with itself or a later one.
 class UserHistoryBolt : public stream::Bolt {
  public:
-  UserHistoryBolt(HistoryStore* history, FeedbackConfig feedback)
-      : history_(history), feedback_(feedback) {}
-
-  void Process(const stream::Tuple& tuple,
-               stream::OutputCollector& collector) override {
-    (void)collector;
-    StatusOr<UserAction> action = TupleToAction(tuple);
-    if (!action.ok()) return;
-    const double confidence = ActionConfidence(*action, feedback_);
-    if (confidence <= 0.0) return;  // Impressions are not history.
-    history_->Append(action->user,
-                     HistoryEntry{action->video, confidence, action->time});
-  }
-
- private:
-  HistoryStore* history_;
-  FeedbackConfig feedback_;
-};
-
-/// GetItemPairs bolt: joins a confident action with the user's recent
-/// history and emits one tuple per (video1, video2) pair, keyed by the
-/// normalized pair key so equal pairs co-locate downstream (enabling the
-/// combiner/cache optimizations of Section 5.1).
-class GetItemPairsBolt : public stream::Bolt {
- public:
-  GetItemPairsBolt(HistoryStore* history, SimilarityConfig config,
-                   FeedbackConfig feedback)
+  UserHistoryBolt(HistoryStore* history, SimilarityConfig config,
+                  FeedbackConfig feedback)
       : history_(history), config_(std::move(config)), feedback_(feedback) {}
 
   void Process(const stream::Tuple& tuple,
@@ -215,20 +195,22 @@ class GetItemPairsBolt : public stream::Bolt {
     StatusOr<UserAction> action = TupleToAction(tuple);
     if (!action.ok()) return;
     const double confidence = ActionConfidence(*action, feedback_);
-    if (confidence < config_.min_confidence) return;
-    for (const HistoryEntry& partner : history_->GetRecent(
-             action->user, config_.max_pairs_per_action)) {
-      if (partner.video == action->video) continue;
-      const VideoPair pair(action->video, partner.video);
-      const std::string key = std::to_string(pair.first) + "#" +
-                              std::to_string(pair.second);
-      collector.EmitTo(
-          "pairs",
-          stream::Tuple(pipeline_schema::Pair(),
-                        {key, static_cast<std::int64_t>(action->video),
-                         static_cast<std::int64_t>(partner.video),
-                         action->time}));
+    if (confidence >= config_.min_confidence) {
+      for (const HistoryEntry& partner : history_->GetRecent(
+               action->user, config_.max_pairs_per_action)) {
+        if (partner.video == action->video) continue;
+        collector.EmitTo(
+            "pairs",
+            stream::Tuple(pipeline_schema::Pair(),
+                          PairKey(VideoPair(action->video, partner.video)),
+                          static_cast<std::int64_t>(action->video),
+                          static_cast<std::int64_t>(partner.video),
+                          action->time));
+      }
     }
+    if (confidence <= 0.0) return;  // Impressions are not history.
+    history_->Append(action->user,
+                     HistoryEntry{action->video, confidence, action->time});
   }
 
  private:
@@ -264,10 +246,11 @@ class ItemPairSimBolt : public stream::Bolt {
 
   void Process(const stream::Tuple& tuple,
                stream::OutputCollector& collector) override {
-    StatusOr<std::int64_t> v1 = tuple.GetInt("video1");
-    StatusOr<std::int64_t> v2 = tuple.GetInt("video2");
-    StatusOr<std::int64_t> time = tuple.GetInt("time");
-    if (!v1.ok() || !v2.ok() || !time.ok()) return;
+    if (tuple.schema() != &pipeline_schema::Pair()) return;
+    const auto* v1 = tuple.GetIf<std::int64_t>(1);
+    const auto* v2 = tuple.GetIf<std::int64_t>(2);
+    const auto* time = tuple.GetIf<std::int64_t>(3);
+    if (v1 == nullptr || v2 == nullptr || time == nullptr) return;
     const VideoId a = static_cast<VideoId>(*v1);
     const VideoId b = static_cast<VideoId>(*v2);
 
@@ -296,11 +279,10 @@ class ItemPairSimBolt : public stream::Bolt {
     if (cached && cache_hits_ != nullptr) cache_hits_->Increment();
     if (!cached && cache_misses_ != nullptr) cache_misses_->Increment();
 
-    collector.EmitTo(
-        "pair_sim",
-        stream::Tuple(pipeline_schema::PairSim(),
-                      {static_cast<std::int64_t>(a),
-                       static_cast<std::int64_t>(b), fused, *time}));
+    collector.EmitTo("pair_sim",
+                     stream::Tuple(pipeline_schema::PairSim(),
+                                   static_cast<std::int64_t>(a),
+                                   static_cast<std::int64_t>(b), fused, *time));
   }
 
  private:
@@ -325,11 +307,14 @@ class ResultStorageBolt : public stream::Bolt {
   void Process(const stream::Tuple& tuple,
                stream::OutputCollector& collector) override {
     (void)collector;
-    StatusOr<std::int64_t> v1 = tuple.GetInt("video1");
-    StatusOr<std::int64_t> v2 = tuple.GetInt("video2");
-    StatusOr<double> sim = tuple.GetDouble("sim");
-    StatusOr<std::int64_t> time = tuple.GetInt("time");
-    if (!v1.ok() || !v2.ok() || !sim.ok() || !time.ok()) return;
+    if (tuple.schema() != &pipeline_schema::PairSim()) return;
+    const auto* v1 = tuple.GetIf<std::int64_t>(0);
+    const auto* v2 = tuple.GetIf<std::int64_t>(1);
+    const auto* sim = tuple.GetIf<double>(2);
+    const auto* time = tuple.GetIf<std::int64_t>(3);
+    if (v1 == nullptr || v2 == nullptr || sim == nullptr || time == nullptr) {
+      return;
+    }
     table_->Update(static_cast<VideoId>(*v1), static_cast<VideoId>(*v2),
                    *sim, *time);
   }
@@ -400,20 +385,11 @@ StatusOr<stream::TopologySpec> BuildRecommendationTopology(
   builder
       .AddBolt(
           "user_history",
-          [history, feedback] {
-            return std::make_unique<UserHistoryBolt>(history, feedback);
+          [history, sim_config, feedback] {
+            return std::make_unique<UserHistoryBolt>(history, sim_config,
+                                                     feedback);
           },
           parallelism.user_history)
-      .FieldsGrouping("spout", {"user"});
-
-  builder
-      .AddBolt(
-          "get_item_pairs",
-          [history, sim_config, feedback] {
-            return std::make_unique<GetItemPairsBolt>(history, sim_config,
-                                                      feedback);
-          },
-          parallelism.get_item_pairs)
       .FieldsGrouping("spout", {"user"});
 
   builder
@@ -424,7 +400,7 @@ StatusOr<stream::TopologySpec> BuildRecommendationTopology(
                                                      sim_config);
           },
           parallelism.item_pair_sim)
-      .FieldsGrouping("get_item_pairs", "pairs", {"pair_key"});
+      .FieldsGrouping("user_history", "pairs", {"pair_key"});
 
   builder
       .AddBolt(

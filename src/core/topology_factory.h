@@ -72,42 +72,54 @@ struct PipelineParallelism {
   std::size_t compute_mf = 2;
   std::size_t mf_storage = 2;
   std::size_t user_history = 2;
-  std::size_t get_item_pairs = 2;
   std::size_t item_pair_sim = 2;
   std::size_t result_storage = 2;
 };
 
-/// Field schemas shared by the pipeline's streams.
+/// Field schemas shared by the pipeline's streams. Each is an immortal
+/// static; the bolts read fields by position and reject tuples on any
+/// other schema.
 namespace pipeline_schema {
 
 /// <user, video, action, value, time> — the spout's output (Fig. 2).
-const std::shared_ptr<const stream::Schema>& Action();
+const stream::Schema& Action();
 /// <user, vec, bias> on stream "user_vec".
-const std::shared_ptr<const stream::Schema>& UserVec();
+const stream::Schema& UserVec();
 /// <video, vec, bias> on stream "video_vec".
-const std::shared_ptr<const stream::Schema>& VideoVec();
-/// <pair_key, video1, video2, time> on stream "pairs".
-const std::shared_ptr<const stream::Schema>& Pair();
+const stream::Schema& VideoVec();
+/// <pair_key, video1, video2, time> on stream "pairs"; pair_key is
+/// PairKey of the normalized pair.
+const stream::Schema& Pair();
 /// <video1, video2, sim, time> on stream "pair_sim".
-const std::shared_ptr<const stream::Schema>& PairSim();
+const stream::Schema& PairSim();
 
 }  // namespace pipeline_schema
 
-/// Converts an action to the spout's tuple layout and back.
+/// Converts an action to the spout's tuple layout and back. TupleToAction
+/// rejects a tuple on another schema or with a mistyped field.
 stream::Tuple ActionToTuple(const UserAction& action);
 StatusOr<UserAction> TupleToAction(const stream::Tuple& tuple);
+
+/// Reads <user, video, action, value, time> from the five fields starting
+/// at `first` (0 in the plain pipeline, 1 behind the demographic "group").
+/// The caller checks the schema; this checks the field types.
+StatusOr<UserAction> ActionFieldsAt(const stream::Tuple& tuple,
+                                    std::size_t first);
 
 /// Builds the Fig. 2 topology:
 ///
 ///   spout ──shuffle──> compute_mf ──fields(user)──> mf_storage
 ///                            └─────fields(video)────────┘
-///   spout ──fields(user)──> user_history
-///   spout ──fields(user)──> get_item_pairs ──fields(pair_key)──>
+///   spout ──fields(user)──> user_history ──fields(pair_key)──>
 ///       item_pair_sim ──fields(video1)──> result_storage
 ///
 /// The fields groupings reproduce the paper's single-writer-per-key
 /// guarantee for vector writes and the locality optimization for pair
-/// similarity computation.
+/// similarity computation. The paper's UserHistory and GetItemPairs are
+/// one bolt here: as siblings fed by the spout, GetItemPairs could read a
+/// user's history before UserHistory had stored the earlier actions, and
+/// so miss their pairs. One bolt reads the partners, then appends, as the
+/// serial SimTableUpdater::OnAction does.
 StatusOr<stream::TopologySpec> BuildRecommendationTopology(
     std::shared_ptr<ActionSource> source, const PipelineDeps& deps,
     const PipelineParallelism& parallelism = {});

@@ -25,10 +25,12 @@ DemographicFilter::DemographicFilter(Recommender* primary,
 
 std::vector<ScoredVideo> DemographicFilter::Merge(
     const std::vector<ScoredVideo>& primary,
-    const std::vector<ScoredVideo>& hot, std::size_t n, double blend_ratio) {
+    const std::vector<ScoredVideo>& hot, std::size_t n, double blend_ratio,
+    std::span<const VideoId> exclude) {
   std::vector<ScoredVideo> out;
   out.reserve(n);
-  std::unordered_set<VideoId> seen;
+  // Seeded as already placed, so no fill loop can add an excluded video.
+  std::unordered_set<VideoId> seen(exclude.begin(), exclude.end());
 
   const std::size_t hot_slots = static_cast<std::size_t>(
       std::llround(blend_ratio * static_cast<double>(n)));
@@ -68,9 +70,9 @@ StatusOr<std::vector<ScoredVideo>> DemographicFilter::Recommend(
   if (primary->size() < options_.min_primary_results) {
     // Cold start: the MF path cannot produce enough efficient
     // recommendations; rely on the demographic group (Section 5.2.1).
-    return Merge(*primary, hot, n, /*blend_ratio=*/1.0);
+    return Merge(*primary, hot, n, /*blend_ratio=*/1.0, request.seed_videos);
   }
-  return Merge(*primary, hot, n, options_.blend_ratio);
+  return Merge(*primary, hot, n, options_.blend_ratio, request.seed_videos);
 }
 
 void DemographicFilter::Observe(const UserAction& action) {

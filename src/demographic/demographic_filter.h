@@ -2,6 +2,7 @@
 #define RTREC_DEMOGRAPHIC_DEMOGRAPHIC_FILTER_H_
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -45,11 +46,12 @@ class DemographicFilter : public Recommender {
 
   /// Pure merge used by Recommend and exposed for tests: keeps primary
   /// order, reserves ~blend_ratio of the `n` slots for hot videos not
-  /// already present, and fills any shortfall from either side.
+  /// already present, and fills any shortfall from either side. Videos
+  /// in `exclude` (the request's seeds) never enter the list.
   static std::vector<ScoredVideo> Merge(
       const std::vector<ScoredVideo>& primary,
       const std::vector<ScoredVideo>& hot, std::size_t n,
-      double blend_ratio);
+      double blend_ratio, std::span<const VideoId> exclude = {});
 
  private:
   Recommender* primary_;

@@ -11,40 +11,33 @@ namespace rtrec {
 
 namespace demographic_schema {
 
-namespace {
-std::shared_ptr<const stream::Schema> MakeSchema(
-    std::initializer_list<const char*> names) {
-  return std::make_shared<const stream::Schema>(names);
-}
-}  // namespace
-
-const std::shared_ptr<const stream::Schema>& GroupedAction() {
-  static const auto& schema = *new std::shared_ptr<const stream::Schema>(
-      MakeSchema({"group", "user", "video", "action", "value", "time"}));
+const stream::Schema& GroupedAction() {
+  static const auto& schema = *new stream::Schema{
+      "group", "user", "video", "action", "value", "time"};
   return schema;
 }
 
-const std::shared_ptr<const stream::Schema>& GroupedUserVec() {
-  static const auto& schema = *new std::shared_ptr<const stream::Schema>(
-      MakeSchema({"group", "user", "vec", "bias"}));
+const stream::Schema& GroupedUserVec() {
+  static const auto& schema =
+      *new stream::Schema{"group", "user", "vec", "bias"};
   return schema;
 }
 
-const std::shared_ptr<const stream::Schema>& GroupedVideoVec() {
-  static const auto& schema = *new std::shared_ptr<const stream::Schema>(
-      MakeSchema({"group", "video", "vec", "bias"}));
+const stream::Schema& GroupedVideoVec() {
+  static const auto& schema =
+      *new stream::Schema{"group", "video", "vec", "bias"};
   return schema;
 }
 
-const std::shared_ptr<const stream::Schema>& GroupedPair() {
-  static const auto& schema = *new std::shared_ptr<const stream::Schema>(
-      MakeSchema({"group", "pair_key", "video1", "video2", "time"}));
+const stream::Schema& GroupedPair() {
+  static const auto& schema =
+      *new stream::Schema{"group", "pair_key", "video1", "video2", "time"};
   return schema;
 }
 
-const std::shared_ptr<const stream::Schema>& GroupedPairSim() {
-  static const auto& schema = *new std::shared_ptr<const stream::Schema>(
-      MakeSchema({"group", "video1", "video2", "sim", "time"}));
+const stream::Schema& GroupedPairSim() {
+  static const auto& schema =
+      *new stream::Schema{"group", "video1", "video2", "sim", "time"};
   return schema;
 }
 
@@ -56,33 +49,24 @@ std::int64_t GroupField(GroupId group) {
   return static_cast<std::int64_t>(group);
 }
 
-StatusOr<GroupId> GetGroup(const stream::Tuple& tuple) {
-  StatusOr<std::int64_t> group = tuple.GetInt("group");
-  if (!group.ok()) return group.status();
-  return static_cast<GroupId>(*group);
+/// The group of a tuple on `schema` (field 0), or null when the tuple is
+/// on another schema or its group is not an int64.
+const std::int64_t* GroupOf(const stream::Tuple& tuple,
+                            const stream::Schema& schema) {
+  if (tuple.schema() != &schema) return nullptr;
+  return tuple.GetIf<std::int64_t>(0);
 }
 
-StatusOr<UserAction> GroupedTupleToAction(const stream::Tuple& tuple) {
-  StatusOr<std::int64_t> user = tuple.GetInt("user");
-  if (!user.ok()) return user.status();
-  StatusOr<std::int64_t> video = tuple.GetInt("video");
-  if (!video.ok()) return video.status();
-  StatusOr<std::int64_t> action = tuple.GetInt("action");
-  if (!action.ok()) return action.status();
-  StatusOr<double> value = tuple.GetDouble("value");
-  if (!value.ok()) return value.status();
-  StatusOr<std::int64_t> time = tuple.GetInt("time");
-  if (!time.ok()) return time.status();
-  if (*action < 0 || *action >= kNumActionTypes) {
-    return Status::InvalidArgument("action code out of range");
+/// The action and group of a spout tuple, or an error for an unqualified
+/// tuple.
+StatusOr<UserAction> GroupedTupleToAction(const stream::Tuple& tuple,
+                                          GroupId* group) {
+  const std::int64_t* g = GroupOf(tuple, demographic_schema::GroupedAction());
+  if (g == nullptr) {
+    return Status::InvalidArgument("not a grouped action tuple");
   }
-  UserAction out;
-  out.user = static_cast<UserId>(*user);
-  out.video = static_cast<VideoId>(*video);
-  out.type = static_cast<ActionType>(*action);
-  out.view_fraction = *value;
-  out.time = *time;
-  return out;
+  *group = static_cast<GroupId>(*g);
+  return ActionFieldsAt(tuple, 1);
 }
 
 /// Spout: pulls actions and stamps the user's demographic group.
@@ -97,11 +81,11 @@ class GroupingActionSpout : public stream::Spout {
     if (!action.has_value()) return false;
     const GroupId group = grouper_->GroupOf(action->user);
     collector.Emit(stream::Tuple(
-        demographic_schema::GroupedAction(),
-        {GroupField(group), static_cast<std::int64_t>(action->user),
-         static_cast<std::int64_t>(action->video),
-         static_cast<std::int64_t>(action->type), action->view_fraction,
-         action->time}));
+        demographic_schema::GroupedAction(), GroupField(group),
+        static_cast<std::int64_t>(action->user),
+        static_cast<std::int64_t>(action->video),
+        static_cast<std::int64_t>(action->type), action->view_fraction,
+        action->time));
     return true;
   }
 
@@ -119,12 +103,12 @@ class GroupComputeMfBolt : public stream::Bolt {
 
   void Process(const stream::Tuple& tuple,
                stream::OutputCollector& collector) override {
-    StatusOr<GroupId> group = GetGroup(tuple);
-    StatusOr<UserAction> action = GroupedTupleToAction(tuple);
-    if (!group.ok() || !action.ok()) return;
+    GroupId group = kGlobalGroup;
+    StatusOr<UserAction> action = GroupedTupleToAction(tuple, &group);
+    if (!action.ok()) return;
     const double confidence = ActionConfidence(*action, config_.feedback);
 
-    GroupStores& stores = stores_->GetOrCreate(*group);
+    GroupStores& stores = stores_->GetOrCreate(group);
     double rating = 0.0, eta = 0.0;
     ResolveUpdateStep(config_, confidence, &rating, &eta);
     if (rating <= 0.0) return;
@@ -138,17 +122,14 @@ class GroupComputeMfBolt : public stream::Bolt {
 
     collector.EmitTo(
         "user_vec",
-        stream::Tuple(demographic_schema::GroupedUserVec(),
-                      {GroupField(*group),
-                       static_cast<std::int64_t>(action->user),
-                       std::move(user.vec), static_cast<double>(user.bias)}));
+        stream::Tuple(demographic_schema::GroupedUserVec(), GroupField(group),
+                      static_cast<std::int64_t>(action->user),
+                      std::move(user.vec), static_cast<double>(user.bias)));
     collector.EmitTo(
         "video_vec",
-        stream::Tuple(demographic_schema::GroupedVideoVec(),
-                      {GroupField(*group),
-                       static_cast<std::int64_t>(action->video),
-                       std::move(video.vec),
-                       static_cast<double>(video.bias)}));
+        stream::Tuple(demographic_schema::GroupedVideoVec(), GroupField(group),
+                      static_cast<std::int64_t>(action->video),
+                      std::move(video.vec), static_cast<double>(video.bias)));
   }
 
  private:
@@ -163,20 +144,26 @@ class GroupMfStorageBolt : public stream::Bolt {
   void Process(const stream::Tuple& tuple,
                stream::OutputCollector& collector) override {
     (void)collector;
-    StatusOr<GroupId> group = GetGroup(tuple);
-    StatusOr<std::vector<float>> vec = tuple.GetFloats("vec");
-    StatusOr<double> bias = tuple.GetDouble("bias");
-    if (!group.ok() || !vec.ok() || !bias.ok()) return;
-    FactorEntry entry;
-    entry.vec = std::move(vec).value();
-    entry.bias = static_cast<float>(*bias);
-    GroupStores& stores = stores_->GetOrCreate(*group);
-    if (StatusOr<std::int64_t> user = tuple.GetInt("user"); user.ok()) {
-      stores.factors->PutUser(static_cast<UserId>(*user), std::move(entry));
-    } else if (StatusOr<std::int64_t> video = tuple.GetInt("video");
-               video.ok()) {
-      stores.factors->PutVideo(static_cast<VideoId>(*video),
-                               std::move(entry));
+    const bool is_user =
+        tuple.schema() == &demographic_schema::GroupedUserVec();
+    const std::int64_t* group = GroupOf(
+        tuple, is_user ? demographic_schema::GroupedUserVec()
+                       : demographic_schema::GroupedVideoVec());
+    const auto* id = tuple.GetIf<std::int64_t>(1);
+    const auto* vec = tuple.GetIf<std::vector<float>>(2);
+    const auto* bias = tuple.GetIf<double>(3);
+    if (group == nullptr || id == nullptr || vec == nullptr ||
+        bias == nullptr) {
+      return;
+    }
+    FactorStore& factors =
+        *stores_->GetOrCreate(static_cast<GroupId>(*group)).factors;
+    if (is_user) {
+      factors.PutUser(static_cast<UserId>(*id), *vec,
+                      static_cast<float>(*bias));
+    } else {
+      factors.PutVideo(static_cast<VideoId>(*id), *vec,
+                       static_cast<float>(*bias));
     }
   }
 
@@ -184,56 +171,39 @@ class GroupMfStorageBolt : public stream::Bolt {
   GroupStoreRegistry* stores_;
 };
 
+/// Records the group's histories and forms its co-watch pairs, partners
+/// read before the append (see UserHistoryBolt in topology_factory.cc).
 class GroupUserHistoryBolt : public stream::Bolt {
  public:
-  GroupUserHistoryBolt(GroupStoreRegistry* stores, FeedbackConfig feedback)
-      : stores_(stores), feedback_(feedback) {}
-
-  void Process(const stream::Tuple& tuple,
-               stream::OutputCollector& collector) override {
-    (void)collector;
-    StatusOr<GroupId> group = GetGroup(tuple);
-    StatusOr<UserAction> action = GroupedTupleToAction(tuple);
-    if (!group.ok() || !action.ok()) return;
-    const double confidence = ActionConfidence(*action, feedback_);
-    if (confidence <= 0.0) return;
-    stores_->GetOrCreate(*group).history->Append(
-        action->user, HistoryEntry{action->video, confidence, action->time});
-  }
-
- private:
-  GroupStoreRegistry* stores_;
-  FeedbackConfig feedback_;
-};
-
-class GroupGetItemPairsBolt : public stream::Bolt {
- public:
-  GroupGetItemPairsBolt(GroupStoreRegistry* stores, SimilarityConfig config,
-                        FeedbackConfig feedback)
+  GroupUserHistoryBolt(GroupStoreRegistry* stores, SimilarityConfig config,
+                       FeedbackConfig feedback)
       : stores_(stores), config_(std::move(config)), feedback_(feedback) {}
 
   void Process(const stream::Tuple& tuple,
                stream::OutputCollector& collector) override {
-    StatusOr<GroupId> group = GetGroup(tuple);
-    StatusOr<UserAction> action = GroupedTupleToAction(tuple);
-    if (!group.ok() || !action.ok()) return;
+    GroupId group = kGlobalGroup;
+    StatusOr<UserAction> action = GroupedTupleToAction(tuple, &group);
+    if (!action.ok()) return;
     const double confidence = ActionConfidence(*action, feedback_);
-    if (confidence < config_.min_confidence) return;
-    GroupStores& stores = stores_->GetOrCreate(*group);
-    for (const HistoryEntry& partner : stores.history->GetRecent(
-             action->user, config_.max_pairs_per_action)) {
-      if (partner.video == action->video) continue;
-      const VideoPair pair(action->video, partner.video);
-      const std::string key = std::to_string(pair.first) + "#" +
-                              std::to_string(pair.second);
-      collector.EmitTo(
-          "pairs",
-          stream::Tuple(demographic_schema::GroupedPair(),
-                        {GroupField(*group), key,
-                         static_cast<std::int64_t>(action->video),
-                         static_cast<std::int64_t>(partner.video),
-                         action->time}));
+    const bool pairs = confidence >= config_.min_confidence;
+    if (!pairs && confidence <= 0.0) return;  // Nothing to pair or record.
+    GroupStores& stores = stores_->GetOrCreate(group);
+    if (pairs) {
+      for (const HistoryEntry& partner : stores.history->GetRecent(
+               action->user, config_.max_pairs_per_action)) {
+        if (partner.video == action->video) continue;
+        collector.EmitTo(
+            "pairs",
+            stream::Tuple(demographic_schema::GroupedPair(), GroupField(group),
+                          PairKey(VideoPair(action->video, partner.video)),
+                          static_cast<std::int64_t>(action->video),
+                          static_cast<std::int64_t>(partner.video),
+                          action->time));
+      }
     }
+    if (confidence <= 0.0) return;
+    stores.history->Append(
+        action->user, HistoryEntry{action->video, confidence, action->time});
   }
 
  private:
@@ -253,14 +223,18 @@ class GroupItemPairSimBolt : public stream::Bolt {
 
   void Process(const stream::Tuple& tuple,
                stream::OutputCollector& collector) override {
-    StatusOr<GroupId> group = GetGroup(tuple);
-    StatusOr<std::int64_t> v1 = tuple.GetInt("video1");
-    StatusOr<std::int64_t> v2 = tuple.GetInt("video2");
-    StatusOr<std::int64_t> time = tuple.GetInt("time");
-    if (!group.ok() || !v1.ok() || !v2.ok() || !time.ok()) return;
+    const std::int64_t* group =
+        GroupOf(tuple, demographic_schema::GroupedPair());
+    const auto* v1 = tuple.GetIf<std::int64_t>(2);
+    const auto* v2 = tuple.GetIf<std::int64_t>(3);
+    const auto* time = tuple.GetIf<std::int64_t>(4);
+    if (group == nullptr || v1 == nullptr || v2 == nullptr ||
+        time == nullptr) {
+      return;
+    }
     const VideoId a = static_cast<VideoId>(*v1);
     const VideoId b = static_cast<VideoId>(*v2);
-    GroupStores& stores = stores_->GetOrCreate(*group);
+    GroupStores& stores = stores_->GetOrCreate(static_cast<GroupId>(*group));
     // Within-group similarity: the group's own y_i vectors (Eq. 9).
     const FactorEntry ya = stores.factors->GetOrInitVideo(a);
     const FactorEntry yb = stores.factors->GetOrInitVideo(b);
@@ -269,9 +243,9 @@ class GroupItemPairSimBolt : public stream::Bolt {
     const double fused = FuseSimilarity(s1, s2, config_.beta);
     collector.EmitTo(
         "pair_sim",
-        stream::Tuple(demographic_schema::GroupedPairSim(),
-                      {GroupField(*group), static_cast<std::int64_t>(a),
-                       static_cast<std::int64_t>(b), fused, *time}));
+        stream::Tuple(demographic_schema::GroupedPairSim(), *group,
+                      static_cast<std::int64_t>(a),
+                      static_cast<std::int64_t>(b), fused, *time));
   }
 
  private:
@@ -288,15 +262,17 @@ class GroupResultStorageBolt : public stream::Bolt {
   void Process(const stream::Tuple& tuple,
                stream::OutputCollector& collector) override {
     (void)collector;
-    StatusOr<GroupId> group = GetGroup(tuple);
-    StatusOr<std::int64_t> v1 = tuple.GetInt("video1");
-    StatusOr<std::int64_t> v2 = tuple.GetInt("video2");
-    StatusOr<double> sim = tuple.GetDouble("sim");
-    StatusOr<std::int64_t> time = tuple.GetInt("time");
-    if (!group.ok() || !v1.ok() || !v2.ok() || !sim.ok() || !time.ok()) {
+    const std::int64_t* group =
+        GroupOf(tuple, demographic_schema::GroupedPairSim());
+    const auto* v1 = tuple.GetIf<std::int64_t>(1);
+    const auto* v2 = tuple.GetIf<std::int64_t>(2);
+    const auto* sim = tuple.GetIf<double>(3);
+    const auto* time = tuple.GetIf<std::int64_t>(4);
+    if (group == nullptr || v1 == nullptr || v2 == nullptr ||
+        sim == nullptr || time == nullptr) {
       return;
     }
-    stores_->GetOrCreate(*group).sim_table->Update(
+    stores_->GetOrCreate(static_cast<GroupId>(*group)).sim_table->Update(
         static_cast<VideoId>(*v1), static_cast<VideoId>(*v2), *sim, *time);
   }
 
@@ -359,20 +335,11 @@ StatusOr<stream::TopologySpec> BuildDemographicTopology(
   builder
       .AddBolt(
           "user_history",
-          [stores, feedback] {
-            return std::make_unique<GroupUserHistoryBolt>(stores, feedback);
+          [stores, sim_config, feedback] {
+            return std::make_unique<GroupUserHistoryBolt>(stores, sim_config,
+                                                          feedback);
           },
           parallelism.user_history)
-      .FieldsGrouping("spout", {"group", "user"});
-
-  builder
-      .AddBolt(
-          "get_item_pairs",
-          [stores, sim_config, feedback] {
-            return std::make_unique<GroupGetItemPairsBolt>(stores, sim_config,
-                                                           feedback);
-          },
-          parallelism.get_item_pairs)
       .FieldsGrouping("spout", {"group", "user"});
 
   builder
@@ -383,7 +350,7 @@ StatusOr<stream::TopologySpec> BuildDemographicTopology(
                 stores, type_resolver, sim_config);
           },
           parallelism.item_pair_sim)
-      .FieldsGrouping("get_item_pairs", "pairs", {"group", "pair_key"});
+      .FieldsGrouping("user_history", "pairs", {"group", "pair_key"});
 
   builder
       .AddBolt(

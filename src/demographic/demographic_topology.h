@@ -20,7 +20,6 @@ namespace rtrec {
 ///   spout ──shuffle──> compute_mf ──fields(group,user)──>  mf_storage
 ///                            └──────fields(group,video)────────┘
 ///   spout ──fields(group,user)──> user_history
-///   spout ──fields(group,user)──> get_item_pairs
 ///       ──fields(group,pair_key)──> item_pair_sim
 ///       ──fields(group,video1)──> result_storage
 ///
@@ -40,13 +39,13 @@ struct DemographicPipelineDeps {
 
 /// Field schemas of the demographic pipeline (action tuples carry a
 /// leading "group" field; downstream tuples mirror the plain pipeline
-/// plus "group").
+/// behind "group"). Immortal statics, read by position.
 namespace demographic_schema {
-const std::shared_ptr<const stream::Schema>& GroupedAction();
-const std::shared_ptr<const stream::Schema>& GroupedUserVec();
-const std::shared_ptr<const stream::Schema>& GroupedVideoVec();
-const std::shared_ptr<const stream::Schema>& GroupedPair();
-const std::shared_ptr<const stream::Schema>& GroupedPairSim();
+const stream::Schema& GroupedAction();
+const stream::Schema& GroupedUserVec();
+const stream::Schema& GroupedVideoVec();
+const stream::Schema& GroupedPair();
+const stream::Schema& GroupedPairSim();
 }  // namespace demographic_schema
 
 /// Builds the demographically-partitioned Fig. 2 topology.

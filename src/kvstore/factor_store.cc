@@ -42,26 +42,26 @@ FactorStore::FactorStore(Options options) : options_(std::move(options)) {
   }
 }
 
-FactorStore::PackedFactorEntry FactorStore::Pack(
-    const FactorEntry& entry) const {
-  PackedFactorEntry packed;
-  packed.bias = entry.bias;
-  packed.data = std::make_unique<std::byte[]>(payload_bytes_);
+void FactorStore::PackInto(std::span<const float> vec, float bias,
+                           PackedFactorEntry& packed) const {
+  packed.bias = bias;
+  if (packed.data == nullptr) {
+    packed.data = std::make_unique<std::byte[]>(payload_bytes_);
+  }
   const std::size_t f = static_cast<std::size_t>(options_.num_factors);
-  if (entry.vec.size() == f) {
-    QuantizeVector(options_.precision, entry.vec.data(), f,
-                   packed.data.get(), &packed.scale);
+  if (vec.size() == f) {
+    QuantizeVector(options_.precision, vec.data(), f, packed.data.get(),
+                   &packed.scale);
   } else {
     // Off-size vectors are truncated / zero-padded to num_factors so the
     // payload width stays fixed (every write path produces num_factors;
     // this is belt-and-braces for hand-built entries).
     std::vector<float> fixed(f, 0.0f);
-    std::memcpy(fixed.data(), entry.vec.data(),
-                std::min(entry.vec.size(), f) * sizeof(float));
+    std::memcpy(fixed.data(), vec.data(),
+                std::min(vec.size(), f) * sizeof(float));
     QuantizeVector(options_.precision, fixed.data(), f, packed.data.get(),
                    &packed.scale);
   }
-  return packed;
 }
 
 FactorEntry FactorStore::Unpack(const PackedFactorEntry& packed) const {
@@ -98,7 +98,10 @@ FactorEntry FactorStore::GetOrInitUser(UserId u) {
   }
   std::unique_lock lock(stripe.mu);
   auto [it, inserted] = stripe.map.try_emplace(u);
-  if (inserted) it->second = Pack(MakeInitialEntry(u, /*is_user=*/true));
+  if (inserted) {
+    const FactorEntry init = MakeInitialEntry(u, /*is_user=*/true);
+    PackInto(init.vec, init.bias, it->second);
+  }
   return Unpack(it->second);
 }
 
@@ -112,7 +115,8 @@ FactorEntry FactorStore::GetOrInitVideo(VideoId i) {
   std::unique_lock lock(stripe.mu);
   auto [it, inserted] = stripe.map.try_emplace(i);
   if (inserted) {
-    it->second = Pack(MakeInitialEntry(i, /*is_user=*/false));
+    const FactorEntry init = MakeInitialEntry(i, /*is_user=*/false);
+    PackInto(init.vec, init.bias, it->second);
     BumpVideoVersion(i);
   }
   return Unpack(it->second);
@@ -184,18 +188,17 @@ std::vector<FactorStore::VideoBatchEntry> FactorStore::GetVideos(
   return results;
 }
 
-void FactorStore::PutUser(UserId u, FactorEntry entry) {
-  PackedFactorEntry packed = Pack(entry);
+void FactorStore::PutUser(UserId u, std::span<const float> vec, float bias) {
   auto& stripe = users_.StripeFor(u);
   std::unique_lock lock(stripe.mu);
-  stripe.map[u] = std::move(packed);
+  PackInto(vec, bias, stripe.map[u]);
 }
 
-void FactorStore::PutVideo(VideoId i, FactorEntry entry) {
-  PackedFactorEntry packed = Pack(entry);
+void FactorStore::PutVideo(VideoId i, std::span<const float> vec,
+                           float bias) {
   auto& stripe = videos_.StripeFor(i);
   std::unique_lock lock(stripe.mu);
-  stripe.map[i] = std::move(packed);
+  PackInto(vec, bias, stripe.map[i]);
   // Bumped under the stripe lock, so a GetVideos snapshot can never pair
   // the new entry with the old version (or vice versa).
   BumpVideoVersion(i);
@@ -209,7 +212,7 @@ void FactorStore::UpdateUser(UserId u,
   FactorEntry entry = inserted ? MakeInitialEntry(u, /*is_user=*/true)
                                : Unpack(it->second);
   fn(entry);
-  it->second = Pack(entry);
+  PackInto(entry.vec, entry.bias, it->second);
 }
 
 void FactorStore::UpdateVideo(VideoId i,
@@ -220,7 +223,7 @@ void FactorStore::UpdateVideo(VideoId i,
   FactorEntry entry = inserted ? MakeInitialEntry(i, /*is_user=*/false)
                                : Unpack(it->second);
   fn(entry);
-  it->second = Pack(entry);
+  PackInto(entry.vec, entry.bias, it->second);
   BumpVideoVersion(i);
 }
 

@@ -129,13 +129,21 @@ class FactorStore {
   }
 
   /// Overwrites the user entry (MFStorage bolt write path). The vector
-  /// is quantized to the store's precision; reads return the quantized
-  /// value, and vectors longer/shorter than num_factors are
-  /// truncated/zero-padded to exactly num_factors.
-  void PutUser(UserId u, FactorEntry entry);
+  /// is quantized to the store's precision straight into the stored
+  /// payload under the stripe lock, so only a first write allocates;
+  /// reads return the quantized value, and vectors longer/shorter than
+  /// num_factors are truncated/zero-padded to exactly num_factors.
+  void PutUser(UserId u, std::span<const float> vec, float bias);
+  void PutUser(UserId u, const FactorEntry& entry) {
+    PutUser(u, entry.vec, entry.bias);
+  }
 
-  /// Overwrites the video entry (MFStorage bolt write path).
-  void PutVideo(VideoId i, FactorEntry entry);
+  /// Overwrites the video entry (MFStorage bolt write path) and bumps its
+  /// version under the same lock.
+  void PutVideo(VideoId i, std::span<const float> vec, float bias);
+  void PutVideo(VideoId i, const FactorEntry& entry) {
+    PutVideo(i, entry.vec, entry.bias);
+  }
 
   /// Atomically read-modify-writes the user entry under its stripe lock,
   /// initializing it first if absent. Used by the single-process training
@@ -220,7 +228,10 @@ class FactorStore {
     float scale = 0.0f;
   };
 
-  PackedFactorEntry Pack(const FactorEntry& entry) const;
+  /// Quantizes an entry into `packed`, allocating its payload only if it
+  /// has none yet, so rewrites of a stored entry allocate nothing.
+  void PackInto(std::span<const float> vec, float bias,
+                PackedFactorEntry& packed) const;
   FactorEntry Unpack(const PackedFactorEntry& packed) const;
 
   template <typename Id>

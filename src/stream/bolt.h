@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "common/metrics.h"
 #include "stream/tuple.h"
@@ -42,7 +43,7 @@ class OutputCollector {
 
   /// Emits `tuple` on the named stream. Tuples on streams nobody
   /// subscribes to are dropped (counted in metrics).
-  virtual std::uint64_t EmitTo(const std::string& stream, Tuple tuple) = 0;
+  virtual std::uint64_t EmitTo(std::string_view stream, Tuple tuple) = 0;
 };
 
 /// A stream transformer: consumes input tuples, optionally emits output

@@ -8,7 +8,9 @@ namespace rtrec::stream {
 
 GroupingRouter::GroupingRouter(Grouping grouping,
                                std::size_t num_consumer_tasks)
-    : grouping_(std::move(grouping)), num_consumer_tasks_(num_consumer_tasks) {
+    : grouping_(std::move(grouping)),
+      num_consumer_tasks_(num_consumer_tasks),
+      key_indices_(grouping_.fields.size(), -1) {
   assert(num_consumer_tasks_ > 0);
   if (grouping_.type == GroupingType::kFields) {
     assert(!grouping_.fields.empty() && "fields grouping requires keys");
@@ -24,11 +26,19 @@ void GroupingRouter::Route(const Tuple& tuple, std::vector<std::size_t>& out) {
       return;
     }
     case GroupingType::kFields: {
+      if (tuple.schema() != key_schema_) {
+        key_schema_ = tuple.schema();
+        for (std::size_t i = 0; i < key_indices_.size(); ++i) {
+          key_indices_[i] = key_schema_ == nullptr
+                                ? -1
+                                : key_schema_->IndexOf(grouping_.fields[i]);
+        }
+      }
       std::uint64_t h = 0x9E3779B97F4A7C15ull;
-      for (const std::string& field : grouping_.fields) {
-        const Value* v = tuple.GetByName(field);
+      for (int index : key_indices_) {
         const std::uint64_t fh =
-            v == nullptr ? HashValue(Value{}) : HashValue(*v);
+            index < 0 ? HashValue(Value{})
+                      : HashValue(tuple.Get(static_cast<std::size_t>(index)));
         h = MixHash64(h ^ fh);
       }
       out.push_back(static_cast<std::size_t>(h % num_consumer_tasks_));

@@ -50,7 +50,8 @@ class GroupingRouter {
   /// For kFields the route is a pure function of the key fields, which is
   /// the property making vector writes conflict-free in the MFStorage
   /// bolt. Missing key fields hash as null (route to a stable task) so a
-  /// malformed tuple cannot crash the pipeline.
+  /// malformed tuple cannot crash the pipeline. Key field names are
+  /// resolved to positions once per schema, not once per tuple.
   void Route(const Tuple& tuple, std::vector<std::size_t>& out);
 
   std::size_t num_consumer_tasks() const { return num_consumer_tasks_; }
@@ -60,6 +61,10 @@ class GroupingRouter {
   Grouping grouping_;
   std::size_t num_consumer_tasks_;
   std::size_t round_robin_ = 0;
+  // kFields: the schema `key_indices_` was resolved against, and each key
+  // field's position in it (-1 when absent).
+  const Schema* key_schema_ = nullptr;
+  std::vector<int> key_indices_;
 };
 
 }  // namespace rtrec::stream

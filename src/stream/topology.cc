@@ -21,10 +21,11 @@ namespace {
 constexpr std::size_t kDefaultQueueCapacity = 1024;
 constexpr std::size_t kDefaultDrainBatch = 64;
 
-// Untraced queue-wait sampling rate: producers stamp 1 in N envelopes
-// so "<component>.queue_wait_us" stays populated when tracing is off,
-// at one clock read per N tuples.
-constexpr std::uint32_t kQueueWaitSampleEveryN = 64;
+// Sampling rate of the untraced per-tuple timings: producers stamp 1 in
+// N envelopes for "<component>.queue_wait_us", and tasks time 1 in N
+// Process / Next calls for "<component>.process_us", so both stay
+// populated with tracing off at two clock reads per N tuples.
+constexpr std::uint32_t kSampleEveryN = 64;
 
 // CAS-once (from zero) and monotonic-max stores for the ingest-window
 // stamps; contention is a handful of task threads at start/end of run.
@@ -54,9 +55,7 @@ class Topology::TaskCollector : public OutputCollector {
   /// `current_trace` mirrors `current_root`: null for spout tasks (each
   /// emission mints a fresh trace root from `tracer`), otherwise the
   /// trace of the tuple being processed, which anchored emissions join.
-  TaskCollector(ComponentRuntime* component,
-                std::unordered_map<std::string, std::vector<EdgeRuntime>>
-                    edges_by_stream,
+  TaskCollector(ComponentRuntime* component, StreamEdges edges_by_stream,
                 AckTracker* acker, std::uint64_t acker_owner,
                 const std::uint64_t* current_root, Tracer* tracer,
                 const TraceContext* current_trace)
@@ -68,7 +67,7 @@ class Topology::TaskCollector : public OutputCollector {
         tracer_(tracer),
         current_trace_(current_trace) {}
 
-  std::uint64_t EmitTo(const std::string& stream, Tuple tuple) override {
+  std::uint64_t EmitTo(std::string_view stream, Tuple tuple) override {
     auto it = edges_by_stream_.find(stream);
     const bool subscribed =
         it != edges_by_stream_.end() && !it->second.empty();
@@ -126,7 +125,8 @@ class Topology::TaskCollector : public OutputCollector {
     if (trace.sampled() || queue_stamp_.Tick()) {
       enqueue_us = Tracer::NowMicros();
     }
-    for (auto& [queue, depth] : destinations_) {
+    for (std::size_t i = 0; i < destinations_.size(); ++i) {
+      auto [queue, depth] = destinations_[i];
       // A fired "stream.queue.push" fault drops this copy on the floor
       // (a lost in-flight tuple); with acking on, its tree fails by
       // timeout and the spout replays it. The tracked count registered
@@ -136,8 +136,10 @@ class Topology::TaskCollector : public OutputCollector {
         component_->dropped->Increment();
         continue;
       }
-      // Push blocks when the consumer is saturated: backpressure.
-      Envelope envelope(tuple, root);
+      // Push blocks when the consumer is saturated: backpressure. The
+      // last destination takes the tuple itself; earlier ones copy it.
+      Envelope envelope(
+          i + 1 == destinations_.size() ? std::move(tuple) : tuple, root);
       envelope.trace = trace;
       envelope.enqueue_us = enqueue_us;
       if (queue->Push(std::move(envelope)) && depth != nullptr) {
@@ -153,14 +155,14 @@ class Topology::TaskCollector : public OutputCollector {
 
  private:
   ComponentRuntime* component_;
-  std::unordered_map<std::string, std::vector<EdgeRuntime>> edges_by_stream_;
+  StreamEdges edges_by_stream_;
   AckTracker* acker_;
   std::uint64_t acker_owner_;
   const std::uint64_t* current_root_;
   Tracer* tracer_;
   const TraceContext* current_trace_;
   // Task-local (collectors are task-owned), so Tick() needs no sync.
-  concurrent::LatencyStats queue_stamp_{nullptr, kQueueWaitSampleEveryN};
+  concurrent::LatencyStats queue_stamp_{nullptr, kSampleEveryN};
   std::vector<std::size_t> scratch_;
   std::vector<std::pair<TaskQueue*, Gauge*>> destinations_;
 };
@@ -364,25 +366,29 @@ void Topology::BroadcastEos(ComponentRuntime& component) {
   }
 }
 
+Topology::StreamEdges Topology::EdgesFrom(const std::string& producer) {
+  // One task's own routers for every subscription to `producer`, so
+  // round-robin cursors and resolved key fields are task-local.
+  StreamEdges edges;
+  for (ComponentRuntime& consumer : components_) {
+    for (const EdgeSpec& edge : consumer.spec.inputs) {
+      if (edge.from_component != producer) continue;
+      std::vector<TaskQueue*> queues;
+      queues.reserve(consumer.queues.size());
+      for (auto& q : consumer.queues) queues.push_back(q.get());
+      edges[edge.stream].emplace_back(edge.grouping, std::move(queues),
+                                      consumer.queue_depth);
+    }
+  }
+  return edges;
+}
+
 void Topology::RunSpoutTask(std::size_t component_index,
                             std::size_t task_index) {
   MaybePinTask();
   ComponentRuntime& rt = components_[component_index];
 
-  // Assemble this task's collector: edges from this component to all
-  // subscribers, keyed by stream.
-  std::unordered_map<std::string, std::vector<EdgeRuntime>> edges;
-  for (std::size_t c = 0; c < components_.size(); ++c) {
-    for (const EdgeSpec& edge : components_[c].spec.inputs) {
-      if (edge.from_component != rt.spec.name) continue;
-      std::vector<TaskQueue*> queues;
-      queues.reserve(components_[c].queues.size());
-      for (auto& q : components_[c].queues) queues.push_back(q.get());
-      edges[edge.stream].emplace_back(edge.grouping, std::move(queues),
-                                      components_[c].queue_depth);
-    }
-  }
-  TaskCollector collector(&rt, std::move(edges), acker_.get(),
+  TaskCollector collector(&rt, EdgesFrom(rt.spec.name), acker_.get(),
                           /*acker_owner=*/0, /*current_root=*/nullptr,
                           options_.tracer, /*current_trace=*/nullptr);
 
@@ -430,6 +436,7 @@ void Topology::RunSpoutTask(std::size_t component_index,
     return true;
   };
 
+  concurrent::LatencyStats next_timing(nullptr, kSampleEveryN);
   int consecutive_failures = 0;
   std::int64_t backoff_ms = options_.restart_backoff_initial_ms;
   bool alive = make_spout();
@@ -441,7 +448,8 @@ void Topology::RunSpoutTask(std::size_t component_index,
     bool has_more = true;
     if (RTREC_FAULT_POINT("stream.spout.next").ok()) {
       try {
-        ScopedLatencyTimer timer(rt.process_us);
+        ScopedLatencyTimer timer(next_timing.Tick() ? rt.process_us
+                                                    : nullptr);
         has_more = spout->Next(collector);
         call_ok = true;
       } catch (const std::exception& e) {
@@ -500,20 +508,9 @@ void Topology::RunBoltTask(std::size_t component_index,
   MaybePinTask();
   ComponentRuntime& rt = components_[component_index];
 
-  std::unordered_map<std::string, std::vector<EdgeRuntime>> edges;
-  for (std::size_t c = 0; c < components_.size(); ++c) {
-    for (const EdgeSpec& edge : components_[c].spec.inputs) {
-      if (edge.from_component != rt.spec.name) continue;
-      std::vector<TaskQueue*> queues;
-      queues.reserve(components_[c].queues.size());
-      for (auto& q : components_[c].queues) queues.push_back(q.get());
-      edges[edge.stream].emplace_back(edge.grouping, std::move(queues),
-                                      components_[c].queue_depth);
-    }
-  }
   std::uint64_t current_root = 0;
   TraceContext current_trace;
-  TaskCollector collector(&rt, std::move(edges), acker_.get(),
+  TaskCollector collector(&rt, EdgesFrom(rt.spec.name), acker_.get(),
                           /*acker_owner=*/0, &current_root, options_.tracer,
                           &current_trace);
 
@@ -559,6 +556,7 @@ void Topology::RunBoltTask(std::size_t component_index,
     return false;
   };
 
+  concurrent::LatencyStats process_timing(nullptr, kSampleEveryN);
   int consecutive_failures = 0;
   std::int64_t backoff_ms = options_.restart_backoff_initial_ms;
   // A degraded task has spent its restart budget: it keeps draining its
@@ -600,7 +598,8 @@ void Topology::RunBoltTask(std::size_t component_index,
       bool processed_ok = false;
       if (!degraded && RTREC_FAULT_POINT("stream.bolt.process").ok()) {
         try {
-          ScopedLatencyTimer timer(rt.process_us);
+          ScopedLatencyTimer timer(process_timing.Tick() ? rt.process_us
+                                                         : nullptr);
           // Install the tuple's trace as the thread-current one so spans
           // in layers the bolt calls into (KV stores, models) attach.
           std::optional<ScopedTraceContext> trace_scope;

@@ -1,6 +1,5 @@
 #include "stream/tuple.h"
 
-#include <cassert>
 #include <cstring>
 
 #include "common/string_util.h"
@@ -20,16 +19,8 @@ std::uint64_t HashValue(const Value& v) {
       std::memcpy(&bits, &x, sizeof(bits));
       return MixHash64(bits);
     }
-    std::uint64_t operator()(const std::string& s) const {
-      // FNV-1a, mixed.
-      std::uint64_t h = 0xCBF29CE484222325ull;
-      for (unsigned char c : s) {
-        h ^= c;
-        h *= 0x100000001B3ull;
-      }
-      return MixHash64(h);
-    }
     std::uint64_t operator()(const std::vector<float>& v) const {
+      // FNV-1a over the bit patterns, mixed.
       std::uint64_t h = 0xCBF29CE484222325ull;
       for (float f : v) {
         std::uint32_t bits;
@@ -50,7 +41,6 @@ std::string ValueToString(const Value& v) {
     std::string operator()(double x) const {
       return StringPrintf("%.6g", x);
     }
-    std::string operator()(const std::string& s) const { return s; }
     std::string operator()(const std::vector<float>& v) const {
       return StringPrintf("float[%zu]", v.size());
     }
@@ -58,69 +48,36 @@ std::string ValueToString(const Value& v) {
   return std::visit(Printer{}, v);
 }
 
-Schema::Schema(std::vector<std::string> field_names)
-    : names_(std::move(field_names)) {}
-
 Schema::Schema(std::initializer_list<const char*> field_names) {
   names_.reserve(field_names.size());
   for (const char* name : field_names) names_.emplace_back(name);
 }
 
-int Schema::IndexOf(const std::string& name) const {
+int Schema::IndexOf(std::string_view name) const {
   for (std::size_t i = 0; i < names_.size(); ++i) {
     if (names_[i] == name) return static_cast<int>(i);
   }
   return -1;
 }
 
-Tuple::Tuple(std::shared_ptr<const Schema> schema, std::vector<Value> values)
-    : schema_(std::move(schema)), values_(std::move(values)) {
-  assert(schema_ != nullptr);
-  assert(schema_->size() == values_.size());
-}
-
-const Value* Tuple::GetByName(const std::string& name) const {
+const Value* Tuple::GetByName(std::string_view name) const {
   if (schema_ == nullptr) return nullptr;
   const int index = schema_->IndexOf(name);
   if (index < 0) return nullptr;
   return &values_[static_cast<std::size_t>(index)];
 }
 
-StatusOr<std::int64_t> Tuple::GetInt(const std::string& name) const {
+StatusOr<std::int64_t> Tuple::GetInt(std::string_view name) const {
   const Value* v = GetByName(name);
-  if (v == nullptr) return Status::NotFound("field '" + name + "'");
+  if (v == nullptr) return Status::NotFound("field " + std::string(name));
   if (const auto* x = std::get_if<std::int64_t>(v)) return *x;
-  return Status::InvalidArgument("field '" + name + "' is not int64");
-}
-
-StatusOr<double> Tuple::GetDouble(const std::string& name) const {
-  const Value* v = GetByName(name);
-  if (v == nullptr) return Status::NotFound("field '" + name + "'");
-  if (const auto* x = std::get_if<double>(v)) return *x;
-  // Ints silently widen; action weights are often emitted as ints.
-  if (const auto* x = std::get_if<std::int64_t>(v)) {
-    return static_cast<double>(*x);
-  }
-  return Status::InvalidArgument("field '" + name + "' is not double");
-}
-
-StatusOr<std::string> Tuple::GetString(const std::string& name) const {
-  const Value* v = GetByName(name);
-  if (v == nullptr) return Status::NotFound("field '" + name + "'");
-  if (const auto* x = std::get_if<std::string>(v)) return *x;
-  return Status::InvalidArgument("field '" + name + "' is not string");
-}
-
-StatusOr<std::vector<float>> Tuple::GetFloats(const std::string& name) const {
-  const Value* v = GetByName(name);
-  if (v == nullptr) return Status::NotFound("field '" + name + "'");
-  if (const auto* x = std::get_if<std::vector<float>>(v)) return *x;
-  return Status::InvalidArgument("field '" + name + "' is not float vector");
+  return Status::InvalidArgument("field " + std::string(name) +
+                                 " is not int64");
 }
 
 std::string Tuple::ToString() const {
   std::string out = "(";
-  for (std::size_t i = 0; i < values_.size(); ++i) {
+  for (std::size_t i = 0; i < size_; ++i) {
     if (i > 0) out += ", ";
     if (schema_ != nullptr && i < schema_->size()) {
       out += schema_->names()[i];

@@ -155,9 +155,8 @@ TEST(AckTrackerTest, ConcurrentTreesResolveExactlyOnce) {
 // ---------------------------------------------------------------------
 // Topology-level reliability.
 
-std::shared_ptr<const Schema> NumberSchema() {
-  static const auto& schema = *new std::shared_ptr<const Schema>(
-      std::make_shared<const Schema>(Schema{{"n"}}));
+const Schema& NumberSchema() {
+  static const auto& schema = *new Schema{"n"};
   return schema;
 }
 
@@ -171,7 +170,7 @@ class TrackingSpout : public Spout {
   bool Next(OutputCollector& collector) override {
     if (i_ >= limit_) return false;
     const std::uint64_t id =
-        collector.Emit(Tuple(NumberSchema(), {i_++}));
+        collector.Emit(Tuple(NumberSchema(), i_++));
     EXPECT_NE(id, 0u) << "acking enabled: ids must be assigned";
     return true;
   }
@@ -227,8 +226,8 @@ TEST(TopologyAckingTest, UnsubscribedEmissionAcksImmediately) {
     bool Next(OutputCollector& collector) override {
       if (done_) return false;
       done_ = true;
-      collector.EmitTo("nobody", Tuple(NumberSchema(), {std::int64_t{1}}));
-      collector.Emit(Tuple(NumberSchema(), {std::int64_t{2}}));
+      collector.EmitTo("nobody", Tuple(NumberSchema(), std::int64_t{1}));
+      collector.Emit(Tuple(NumberSchema(), std::int64_t{2}));
       return true;
     }
     void Ack(std::uint64_t) override { acks_->fetch_add(1); }
@@ -287,7 +286,7 @@ TEST(TopologyAckingTest, DisabledAckingAssignsNoIds) {
     bool Next(OutputCollector& collector) override {
       if (done_) return false;
       done_ = true;
-      EXPECT_EQ(collector.Emit(Tuple(NumberSchema(), {std::int64_t{1}})),
+      EXPECT_EQ(collector.Emit(Tuple(NumberSchema(), std::int64_t{1})),
                 0u);
       return true;
     }
@@ -351,7 +350,7 @@ TEST(ReliableReplaySpoutTest, EveryTupleEventuallyDeliveredDespiteTimeouts) {
     auto spout = std::make_unique<ReliableReplaySpout>(
         [counter]() -> std::optional<Tuple> {
           if (*counter >= kTuples) return std::nullopt;
-          return Tuple(NumberSchema(), {(*counter)++});
+          return Tuple(NumberSchema(), (*counter)++);
         });
     spout_ptr = spout.get();
     return spout;
@@ -400,7 +399,7 @@ TEST(ReliableReplaySpoutTest, MaxRetriesGivesUp) {
     auto spout = std::make_unique<ReliableReplaySpout>(
         [counter]() -> std::optional<Tuple> {
           if (*counter >= 3) return std::nullopt;
-          return Tuple(NumberSchema(), {(*counter)++});
+          return Tuple(NumberSchema(), (*counter)++);
         },
         spout_options);
     spout_ptr = spout.get();

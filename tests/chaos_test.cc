@@ -126,7 +126,6 @@ TEST_F(ChaosTest, AckedTopologyDeliversEveryActionUnderFaults) {
   wide.compute_mf = 2;
   wide.mf_storage = 2;
   wide.user_history = 2;
-  wide.get_item_pairs = 2;
   wide.item_pair_sim = 2;
   wide.result_storage = 2;
 

@@ -113,6 +113,38 @@ TEST_F(DemographicFilterTest, ColdUserFallsBackToGroupHot) {
   EXPECT_EQ((*recs)[0].video, 55u);
 }
 
+TEST_F(DemographicFilterTest, SeedVideoNeverReturnedEvenWhenHottest) {
+  // "Related videos" for video 55 while 55 is the group's hottest: the
+  // page must not contain the video being watched, on the blended path
+  // and on the cold-start (all-hot) path alike.
+  tracker_->Record(group_, 55, 9.0, 0);
+  tracker_->Record(group_, 56, 3.0, 0);
+  tracker_->Record(group_, 57, 2.0, 0);
+  RecRequest request;
+  request.user = 1;
+  request.now = 0;
+  request.seed_videos = {55};
+  request.top_n = 4;
+  FakePrimary warm(Videos({1, 2, 3, 4}));
+  DemographicFilter::Options blend_all;
+  blend_all.blend_ratio = 1.0;
+  FakePrimary cold({});
+  const std::vector<std::pair<Recommender*, DemographicFilter::Options>>
+      cases = {{&warm, {}}, {&warm, blend_all}, {&cold, {}}};
+  for (const auto& [primary, options] : cases) {
+    DemographicFilter filter = MakeFilter(primary, options);
+    auto recs = filter.Recommend(request);
+    ASSERT_TRUE(recs.ok());
+    ASSERT_FALSE(recs->empty());
+    for (const ScoredVideo& v : *recs) EXPECT_NE(v.video, 55u);
+  }
+  // The exclusion also holds for the pure merge's shortfall fill.
+  const auto merged = DemographicFilter::Merge(
+      Videos({55, 1}), Videos({55, 2}), 4, 0.5, std::vector<VideoId>{55});
+  ASSERT_EQ(merged.size(), 2u);
+  for (const ScoredVideo& v : merged) EXPECT_NE(v.video, 55u);
+}
+
 TEST_F(DemographicFilterTest, UnregisteredColdUserGetsGlobalHot) {
   FakePrimary primary({});
   tracker_->Record(kGlobalGroup, 77, 4.0, 0);

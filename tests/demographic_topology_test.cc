@@ -178,7 +178,6 @@ TEST_F(DemographicTopologyTest, ParallelismPreservesPerGroupCounts) {
   wide.compute_mf = 4;
   wide.mf_storage = 4;
   wide.user_history = 3;
-  wide.get_item_pairs = 3;
   wide.item_pair_sim = 3;
   wide.result_storage = 3;
   RunPipeline(std::move(actions), wide);

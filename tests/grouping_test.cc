@@ -8,12 +8,13 @@
 namespace rtrec::stream {
 namespace {
 
-std::shared_ptr<const Schema> KeySchema() {
-  return std::make_shared<const Schema>(Schema{{"key", "other"}});
+const Schema& KeySchema() {
+  static const auto& schema = *new Schema{"key", "other"};
+  return schema;
 }
 
 Tuple KeyTuple(std::int64_t key, std::int64_t other = 0) {
-  return Tuple(KeySchema(), {key, other});
+  return Tuple(KeySchema(), key, other);
 }
 
 TEST(GroupingRouterTest, ShuffleRoundRobins) {
@@ -84,6 +85,19 @@ TEST(GroupingRouterTest, MissingKeyFieldRoutesStably) {
   router.Route(KeyTuple(2), out2);
   ASSERT_EQ(out1.size(), 1u);
   EXPECT_EQ(out1, out2);
+}
+
+TEST(GroupingRouterTest, FieldsGroupingFollowsSchemaChanges) {
+  // Key positions are resolved once per schema: a tuple on a schema with
+  // the key at another position must still route by the key's value.
+  static const auto& swapped = *new Schema{"other", "key"};
+  GroupingRouter router(Grouping::Fields({"key"}), 8);
+  std::vector<std::size_t> out1, out2;
+  for (std::int64_t key = 0; key < 50; ++key) {
+    router.Route(KeyTuple(key, 99), out1);
+    router.Route(Tuple(swapped, std::int64_t{99}, key), out2);
+    EXPECT_EQ(out1, out2) << "key " << key;
+  }
 }
 
 TEST(GroupingRouterTest, GlobalAlwaysTaskZero) {

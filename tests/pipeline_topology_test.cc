@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <memory>
+#include <set>
+#include <string_view>
 #include <thread>
 
 #include "core/recommender.h"
+#include "core/sim_table.h"
 #include "stream/topology.h"
 
 namespace rtrec {
@@ -104,10 +108,49 @@ TEST(ActionTupleTest, RoundTrip) {
 }
 
 TEST(ActionTupleTest, RejectsBadActionCode) {
-  stream::Tuple bad(pipeline_schema::Action(),
-                    {std::int64_t{1}, std::int64_t{2}, std::int64_t{99},
-                     0.0, std::int64_t{0}});
+  stream::Tuple bad(pipeline_schema::Action(), std::int64_t{1},
+                    std::int64_t{2}, std::int64_t{99}, 0.0, std::int64_t{0});
   EXPECT_FALSE(TupleToAction(bad).ok());
+}
+
+TEST(ActionTupleTest, RejectsForeignSchemaAndMistypedFields) {
+  // Same field names, another schema: identity, not names, qualifies.
+  static const auto& lookalike =
+      *new stream::Schema{"user", "video", "action", "value", "time"};
+  EXPECT_FALSE(TupleToAction(stream::Tuple(lookalike, std::int64_t{1},
+                                           std::int64_t{2}, std::int64_t{1},
+                                           0.5, std::int64_t{0}))
+                   .ok());
+  // "value" must be a double.
+  EXPECT_FALSE(TupleToAction(stream::Tuple(pipeline_schema::Action(),
+                                           std::int64_t{1}, std::int64_t{2},
+                                           std::int64_t{1}, std::int64_t{1},
+                                           std::int64_t{0}))
+                   .ok());
+  EXPECT_FALSE(TupleToAction(stream::Tuple()).ok());
+}
+
+/// Records every emission of a bolt driven directly by a test.
+class RecordingCollector : public stream::OutputCollector {
+ public:
+  std::uint64_t EmitTo(std::string_view stream, stream::Tuple tuple) override {
+    emitted.emplace_back(std::string(stream), std::move(tuple));
+    return 0;
+  }
+  std::vector<std::pair<std::string, stream::Tuple>> emitted;
+};
+
+/// A prepared task instance of the spec's component `name`.
+std::unique_ptr<stream::Bolt> MakeBolt(const stream::TopologySpec& spec,
+                                       const std::string& name) {
+  const int index = spec.IndexOf(name);
+  EXPECT_GE(index, 0) << name;
+  std::unique_ptr<stream::Bolt> bolt =
+      spec.components[static_cast<std::size_t>(index)].bolt_factory();
+  stream::TaskContext context;
+  context.component = name;
+  bolt->Prepare(context);
+  return bolt;
 }
 
 TEST_F(PipelineTopologyTest, RejectsNullDeps) {
@@ -137,9 +180,205 @@ TEST_F(PipelineTopologyTest, TrainsModelFromStream) {
   // Histories recorded.
   EXPECT_EQ(history_->Get(1).size(), 2u);
 
-  // Similar-video tables populated via GetItemPairs -> ItemPairSim ->
+  // Similar-video tables populated via UserHistory -> ItemPairSim ->
   // ResultStorage.
   EXPECT_GT(table_->GetDecayedSimilarity(10, 11, 30000), 0.0);
+}
+
+TEST_F(PipelineTopologyTest, BoltsDropForeignAndMistypedTuples) {
+  auto spec = BuildRecommendationTopology(
+      std::make_shared<VectorActionSource>(std::vector<UserAction>{}),
+      Deps());
+  ASSERT_TRUE(spec.ok());
+  // Look-alike schemas: the same field names as the pipeline's own, but
+  // other objects, so every bolt must reject them by identity.
+  static const auto& action_like =
+      *new stream::Schema{"user", "video", "action", "value", "time"};
+  static const auto& vec_like = *new stream::Schema{"user", "vec", "bias"};
+  static const auto& pair_like =
+      *new stream::Schema{"pair_key", "video1", "video2", "time"};
+  static const auto& sim_like =
+      *new stream::Schema{"video1", "video2", "sim", "time"};
+  const std::int64_t play = static_cast<std::int64_t>(ActionType::kPlayTime);
+  const std::int64_t u = 1, v = 10, t = 0;
+  const std::vector<float> vec(8, 0.5f);
+  const std::vector<stream::Tuple> bad_actions = {
+      stream::Tuple(action_like, u, v, play, 1.0, t),
+      // "value" mistyped as int64.
+      stream::Tuple(pipeline_schema::Action(), u, v, play, std::int64_t{1},
+                    t)};
+  const std::map<std::string, std::vector<stream::Tuple>> bad_inputs = {
+      {"compute_mf", bad_actions},
+      {"user_history", bad_actions},
+      {"mf_storage",
+       {stream::Tuple(vec_like, u, vec, 0.1),
+        // "vec" mistyped; "bias" mistyped.
+        stream::Tuple(pipeline_schema::UserVec(), u, u, 0.1),
+        stream::Tuple(pipeline_schema::VideoVec(), v, vec, std::int64_t{0})}},
+      {"item_pair_sim",
+       {stream::Tuple(pair_like, std::int64_t{7}, v, std::int64_t{11}, t),
+        // "video1" mistyped.
+        stream::Tuple(pipeline_schema::Pair(), std::int64_t{7}, 10.0,
+                      std::int64_t{11}, t)}},
+      {"result_storage",
+       {stream::Tuple(sim_like, v, std::int64_t{11}, 0.9, t),
+        // "sim" mistyped.
+        stream::Tuple(pipeline_schema::PairSim(), v, std::int64_t{11},
+                      std::int64_t{1}, t)}},
+  };
+  RecordingCollector collector;
+  for (const auto& [name, inputs] : bad_inputs) {
+    std::unique_ptr<stream::Bolt> bolt = MakeBolt(*spec, name);
+    for (const stream::Tuple& tuple : inputs) bolt->Process(tuple, collector);
+  }
+  EXPECT_TRUE(collector.emitted.empty());
+  EXPECT_EQ(factors_->NumUsers(), 0u);
+  EXPECT_EQ(factors_->NumVideos(), 0u);
+  EXPECT_TRUE(history_->Get(u).empty());
+  EXPECT_EQ(table_->NumVideos(), 0u);
+
+  // Control: well-formed tuples walk the whole chain, so the drops above
+  // are the bolts' filtering and not inert bolts.
+  MakeBolt(*spec, "user_history")->Process(ActionToTuple(Play(1, 11, 0)),
+                                           collector);
+  ASSERT_EQ(history_->Get(u).size(), 1u);
+  MakeBolt(*spec, "compute_mf")->Process(ActionToTuple(Play(1, 10, 100)),
+                                         collector);
+  ASSERT_EQ(collector.emitted.size(), 2u);
+  auto mf_storage = MakeBolt(*spec, "mf_storage");
+  for (const auto& [stream, tuple] : collector.emitted) {
+    mf_storage->Process(tuple, collector);
+  }
+  EXPECT_EQ(factors_->NumUsers(), 1u);
+  collector.emitted.clear();
+  MakeBolt(*spec, "user_history")->Process(ActionToTuple(Play(1, 10, 100)),
+                                           collector);
+  ASSERT_EQ(collector.emitted.size(), 1u);
+  const stream::Tuple pair = collector.emitted[0].second;
+  MakeBolt(*spec, "item_pair_sim")->Process(pair, collector);
+  ASSERT_EQ(collector.emitted.size(), 2u);
+  MakeBolt(*spec, "result_storage")
+      ->Process(collector.emitted[1].second, collector);
+  EXPECT_EQ(table_->NumVideos(), 2u);
+}
+
+TEST_F(PipelineTopologyTest, SymmetricPairsRouteToOneItemPairSimTask) {
+  // UserHistory keys each pair by the packed normalized pair, so a
+  // co-watch of (a then b) and one of (b then a) must reach the same
+  // ItemPairSim task, the one whose LRU caches the pair.
+  PipelineParallelism parallelism;
+  parallelism.item_pair_sim = 4;
+  auto spec = BuildRecommendationTopology(
+      std::make_shared<VectorActionSource>(std::vector<UserAction>{}),
+      Deps(), parallelism);
+  ASSERT_TRUE(spec.ok());
+  const stream::ComponentSpec& sim =
+      spec->components[static_cast<std::size_t>(
+          spec->IndexOf("item_pair_sim"))];
+  ASSERT_EQ(sim.inputs.size(), 1u);
+  stream::GroupingRouter router(sim.inputs[0].grouping, sim.parallelism);
+  auto user_history = MakeBolt(*spec, "user_history");
+
+  std::set<std::size_t> tasks_used;
+  for (VideoId i = 0; i < 32; ++i) {
+    const VideoId a = 100 + i;
+    const VideoId b = 5000 + 7 * i;
+    std::vector<std::size_t> routes[2];
+    std::int64_t keys[2] = {0, 0};
+    // User 2i+1 watches a then b; user 2i+2 watches b then a.
+    for (int order = 0; order < 2; ++order) {
+      const UserId user = 2 * i + 1 + static_cast<UserId>(order);
+      const VideoId first = order == 0 ? a : b;
+      const VideoId second = order == 0 ? b : a;
+      history_->Append(user, HistoryEntry{first, 1.0, 0});
+      RecordingCollector collector;
+      user_history->Process(ActionToTuple(Play(user, second, 100)),
+                            collector);
+      ASSERT_EQ(collector.emitted.size(), 1u);
+      EXPECT_EQ(collector.emitted[0].first, "pairs");
+      const stream::Tuple& tuple = collector.emitted[0].second;
+      keys[order] = *tuple.GetInt("pair_key");
+      router.Route(tuple, routes[order]);
+    }
+    EXPECT_EQ(keys[0], keys[1]);
+    EXPECT_EQ(keys[0], PairKey(VideoPair(a, b)));
+    ASSERT_EQ(routes[0].size(), 1u);
+    EXPECT_EQ(routes[0], routes[1]) << "pair " << a << "," << b;
+    tasks_used.insert(routes[0][0]);
+  }
+  EXPECT_GT(tasks_used.size(), 1u);  // Keys still spread over tasks.
+}
+
+TEST_F(PipelineTopologyTest, UserHistoryPairsWithEarlierActionsOnly) {
+  auto spec = BuildRecommendationTopology(
+      std::make_shared<VectorActionSource>(std::vector<UserAction>{}),
+      Deps());
+  ASSERT_TRUE(spec.ok());
+  auto user_history = MakeBolt(*spec, "user_history");
+  const std::size_t max_pairs = SimilarityConfig{}.max_pairs_per_action;
+  RecordingCollector collector;
+  for (VideoId v = 1; v <= max_pairs + 4; ++v) {
+    user_history->Process(
+        ActionToTuple(Play(1, v, static_cast<Timestamp>(v))), collector);
+  }
+  collector.emitted.clear();
+  // A full window: exactly max_pairs partners, the most recent earlier
+  // actions, and never the action itself.
+  user_history->Process(ActionToTuple(Play(1, 1000, 100)), collector);
+  ASSERT_EQ(collector.emitted.size(), max_pairs);
+  std::set<std::int64_t> partners;
+  for (const auto& [stream, tuple] : collector.emitted) {
+    EXPECT_EQ(stream, "pairs");
+    EXPECT_EQ(*tuple.GetInt("video1"), 1000);
+    partners.insert(*tuple.GetInt("video2"));
+  }
+  EXPECT_EQ(partners.size(), max_pairs);
+  EXPECT_EQ(*partners.begin(), 5);  // The 4 oldest entries are left out.
+  EXPECT_EQ(*partners.rbegin(), static_cast<std::int64_t>(max_pairs + 4));
+  EXPECT_EQ(history_->Get(1).size(), max_pairs + 5);
+}
+
+TEST_F(PipelineTopologyTest, FormsExactlyTheSerialPairs) {
+  // Every action must pair with the same partners as the serial
+  // SimTableUpdater::OnAction: its user's earlier actions, read before its
+  // own append, however the bolts' threads are scheduled.
+  std::vector<UserAction> actions;
+  for (int round = 0; round < 40; ++round) {
+    for (UserId u = 1; u <= 12; ++u) {
+      actions.push_back(Play(u, static_cast<VideoId>((u * round) % 23 + 1),
+                             round * 1000 + static_cast<Timestamp>(u)));
+    }
+  }
+  std::size_t serial_pairs = 0;
+  {
+    FactorStore::Options factor_options;
+    factor_options.num_factors = 8;
+    FactorStore factors(factor_options);
+    HistoryStore history;
+    SimTableStore table;
+    const PipelineDeps deps = Deps();
+    SimTableUpdater updater(&factors, &history, &table, deps.type_resolver,
+                            deps.sim_config, deps.model_config.feedback);
+    for (const UserAction& action : actions) {
+      serial_pairs += updater.OnAction(action);
+    }
+  }
+  ASSERT_GT(serial_pairs, actions.size());  // Windows fill up.
+
+  PipelineParallelism wide;
+  wide.user_history = 3;
+  wide.item_pair_sim = 3;
+  auto source = std::make_shared<VectorActionSource>(std::move(actions));
+  auto spec = BuildRecommendationTopology(source, Deps(), wide);
+  ASSERT_TRUE(spec.ok());
+  auto topo = stream::Topology::Create(std::move(spec).value());
+  ASSERT_TRUE(topo.ok());
+  ASSERT_TRUE((*topo)->Start().ok());
+  ASSERT_TRUE((*topo)->Join().ok());
+  MetricsRegistry& metrics = (*topo)->metrics();
+  EXPECT_EQ(metrics.GetCounter("item_pair_sim.cache_hits")->value() +
+                metrics.GetCounter("item_pair_sim.cache_misses")->value(),
+            static_cast<std::int64_t>(serial_pairs));
 }
 
 TEST_F(PipelineTopologyTest, ImpressionsFlowThroughWithoutStateChanges) {
@@ -166,7 +405,6 @@ TEST_F(PipelineTopologyTest, HighParallelismMatchesLowParallelismCounts) {
   wide.compute_mf = 4;
   wide.mf_storage = 4;
   wide.user_history = 3;
-  wide.get_item_pairs = 3;
   wide.item_pair_sim = 4;
   wide.result_storage = 3;
   RunPipeline(actions, wide);

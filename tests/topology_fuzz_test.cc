@@ -16,9 +16,8 @@
 namespace rtrec::stream {
 namespace {
 
-std::shared_ptr<const Schema> NumberSchema() {
-  static const auto& schema = *new std::shared_ptr<const Schema>(
-      std::make_shared<const Schema>(Schema{{"n"}}));
+const Schema& NumberSchema() {
+  static const auto& schema = *new Schema{"n"};
   return schema;
 }
 
@@ -27,7 +26,7 @@ class EmitNSpout : public Spout {
   explicit EmitNSpout(std::int64_t n) : n_(n) {}
   bool Next(OutputCollector& collector) override {
     if (i_ >= n_) return false;
-    collector.Emit(Tuple(NumberSchema(), {i_++}));
+    collector.Emit(Tuple(NumberSchema(), i_++));
     return true;
   }
 

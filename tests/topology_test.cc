@@ -10,9 +10,8 @@
 namespace rtrec::stream {
 namespace {
 
-std::shared_ptr<const Schema> NumberSchema() {
-  static const auto& schema = *new std::shared_ptr<const Schema>(
-      std::make_shared<const Schema>(Schema{{"n"}}));
+const Schema& NumberSchema() {
+  static const auto& schema = *new Schema{"n"};
   return schema;
 }
 
@@ -23,7 +22,7 @@ class CountingSpout : public Spout {
 
   bool Next(OutputCollector& collector) override {
     if (next_ >= limit_) return false;
-    collector.Emit(Tuple(NumberSchema(), {next_++}));
+    collector.Emit(Tuple(NumberSchema(), next_++));
     return true;
   }
 
@@ -145,7 +144,7 @@ TEST(TopologyTest, FieldsGroupingSendsKeyToSingleTask) {
          public:
           bool Next(OutputCollector& collector) override {
             if (i_ >= 500) return false;
-            collector.Emit(Tuple(NumberSchema(), {i_ % 50}));
+            collector.Emit(Tuple(NumberSchema(), i_ % 50));
             ++i_;
             return true;
           }
@@ -236,9 +235,9 @@ TEST(TopologyTest, UnsubscribedStreamTuplesAreDroppedAndCounted) {
     bool Next(OutputCollector& collector) override {
       if (done_) return false;
       done_ = true;
-      collector.Emit(Tuple(NumberSchema(), {std::int64_t{1}}));
+      collector.Emit(Tuple(NumberSchema(), std::int64_t{1}));
       collector.EmitTo("nobody_listens", Tuple(NumberSchema(),
-                                               {std::int64_t{2}}));
+                                               std::int64_t{2}));
       return true;
     }
 
@@ -275,8 +274,8 @@ TEST(TopologyTest, MultiStreamSubscriptionsRouteIndependently) {
    public:
     bool Next(OutputCollector& collector) override {
       if (i_ >= 100) return false;
-      collector.EmitTo("left", Tuple(NumberSchema(), {i_}));
-      collector.EmitTo("right", Tuple(NumberSchema(), {i_ * 1000}));
+      collector.EmitTo("left", Tuple(NumberSchema(), i_));
+      collector.EmitTo("right", Tuple(NumberSchema(), i_ * 1000));
       ++i_;
       return true;
     }
@@ -328,7 +327,7 @@ TEST(TopologyTest, RequestStopEndsInfiniteSpout) {
   class InfiniteSpout : public Spout {
    public:
     bool Next(OutputCollector& collector) override {
-      collector.Emit(Tuple(NumberSchema(), {std::int64_t{1}}));
+      collector.Emit(Tuple(NumberSchema(), std::int64_t{1}));
       return true;
     }
   };

@@ -138,9 +138,8 @@ TEST(TraceSpanTest, RecordsOnlyUnderSampledTrace) {
 // ---------------------------------------------------------------------------
 // Propagation across the stream topology.
 
-std::shared_ptr<const stream::Schema> NumberSchema() {
-  static const auto& schema = *new std::shared_ptr<const stream::Schema>(
-      std::make_shared<const stream::Schema>(stream::Schema{{"n"}}));
+const stream::Schema& NumberSchema() {
+  static const auto& schema = *new stream::Schema{"n"};
   return schema;
 }
 
@@ -150,7 +149,7 @@ class CountingSpout : public stream::Spout {
 
   bool Next(stream::OutputCollector& collector) override {
     if (next_ >= limit_) return false;
-    collector.Emit(stream::Tuple(NumberSchema(), {next_++}));
+    collector.Emit(stream::Tuple(NumberSchema(), next_++));
     return true;
   }
 
